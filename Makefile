@@ -49,7 +49,7 @@ staticcheck:
 	fi
 
 # End-to-end daemon check: start dlserve on a random port, curl /healthz
-# and /query, shut down gracefully.
+# and /v2/search (and check /query is gone), shut down gracefully.
 serve-smoke:
 	bash scripts/serve_smoke.sh
 

@@ -34,7 +34,6 @@ import (
 	"repro/internal/fde"
 	"repro/internal/frame"
 	"repro/internal/grammar"
-	"repro/internal/ir"
 	"repro/internal/pipeline"
 	"repro/internal/segfile"
 	"repro/internal/serve"
@@ -89,12 +88,8 @@ type (
 	SiteConfig = webspace.SiteConfig
 	// Site is a generated webspace site (object graph + pages).
 	Site = webspace.Site
-	// Result is one combined-query answer.
-	Result = dlse.Result
 	// Request is a structured combined query.
 	Request = dlse.Request
-	// Hit is one full-text retrieval result.
-	Hit = ir.Hit
 )
 
 // The typed error taxonomy of the v2 query surface. Callers branch with
@@ -311,8 +306,6 @@ type BatchOptions struct {
 	// Workers bounds the number of videos processed concurrently;
 	// values < 1 select GOMAXPROCS.
 	Workers int
-	// Shards is the meta-index shard count; values < 1 select Workers.
-	Shards int
 	// ContinueOnError keeps the batch running after a job fails; the
 	// default stops dispatching new jobs on the first failure. Either way
 	// every failure is reported in its job's BatchResult.
@@ -350,13 +343,13 @@ type BatchResult struct {
 
 // IndexBatch indexes a batch of videos concurrently: jobs fan out across a
 // bounded worker pool (the paper's Feature Detector Engine runs once per
-// video, independently), each parse is committed to a sharded staging
-// index, and on completion the shards are merged into the library in job
-// order — so the resulting index, and SaveIndex output, are byte-identical
-// to indexing the same jobs sequentially with IndexFrames/IndexSVF.
+// video, independently), and on completion the parses are written into the
+// library in job order — so the resulting index, and SaveIndex output, are
+// byte-identical to indexing the same jobs sequentially with
+// IndexFrames/IndexSVF.
 //
 // Cancellation stops dispatching new jobs; jobs already in flight finish
-// and are merged, and every job that never ran reports the context error in
+// and are indexed, and every job that never ran reports the context error in
 // its BatchResult. The returned error is the context error on
 // cancellation; otherwise it is nil when every job succeeded, the first
 // failure by default, or all failures joined when ContinueOnError is set.
@@ -367,8 +360,8 @@ func (l *Library) IndexBatch(ctx context.Context, jobs []IngestJob, opts BatchOp
 	return l.runBatch(ctx, jobs, opts, l.head())
 }
 
-// runBatch is the shared ingestion engine of IndexBatch (merging into the
-// newest segment) and Commit (merging into a brand-new one).
+// runBatch is the shared ingestion engine of IndexBatch (writing into the
+// newest segment) and Commit (writing into a brand-new one).
 func (l *Library) runBatch(ctx context.Context, jobs []IngestJob, opts BatchOptions, dst *core.MetaIndex) ([]BatchResult, error) {
 	pjobs := make([]pipeline.Job, len(jobs))
 	for i, job := range jobs {
@@ -404,7 +397,6 @@ func (l *Library) runBatch(ctx context.Context, jobs []IngestJob, opts BatchOpti
 	}
 	in, err := pipeline.New(engine, pipeline.Config{
 		Workers:         opts.Workers,
-		Shards:          opts.Shards,
 		ContinueOnError: opts.ContinueOnError,
 		OnProgress: func(p pipeline.Progress) {
 			if opts.OnProgress != nil {
@@ -418,15 +410,11 @@ func (l *Library) runBatch(ctx context.Context, jobs []IngestJob, opts BatchOpti
 	if err != nil {
 		return nil, err
 	}
-	results, runErr := in.Run(ctx, pjobs)
-	ids, mergeErr := in.MergeInto(dst)
-	if mergeErr != nil {
-		return nil, fmt.Errorf("repro: merging batch: %w", mergeErr)
-	}
+	results, runErr := in.Run(ctx, pjobs, dst)
 	out := make([]BatchResult, len(results))
 	for i, r := range results {
 		out[i] = BatchResult{
-			Name: r.Name, VideoID: ids[r.Seq], Frames: r.Frames,
+			Name: r.Name, VideoID: r.VideoID, Frames: r.Frames,
 			Duration: r.Duration, Err: r.Err,
 		}
 	}
@@ -537,14 +525,13 @@ func (l *Library) Segments(videoID int64) ([]Segment, error) {
 // Index exposes the newest meta-index segment — the write target of the
 // Index* methods — for advanced direct use. Whole-library reads should go
 // through View, which spans every segment. On a segfile-backed library
-// this hydrates every segment and panics if the file is corrupt; the
-// query paths, which stay lazy and report errors instead, are View and
-// the Library query methods.
-func (l *Library) Index() *MetaIndex {
+// this hydrates every segment and reports a corrupt file as an error; the
+// query paths, which stay lazy, are View and the Library query methods.
+func (l *Library) Index() (*MetaIndex, error) {
 	if err := l.materialize(); err != nil {
-		panic(fmt.Sprintf("repro: hydrating library: %v", err))
+		return nil, fmt.Errorf("repro: hydrating library: %w", err)
 	}
-	return l.head()
+	return l.head(), nil
 }
 
 // IndexFormat selects the on-disk representation written by SaveIndexAs.
@@ -829,68 +816,12 @@ func (dl *DigitalLibrary) Compact(target int) (bool, error) {
 // Swap. ResultSets and cursors carry the snapshot they were computed on.
 func (dl *DigitalLibrary) Snapshot() int64 { return dl.engine.Load().Snapshot() }
 
-// Query parses and runs a combined query in the demo query language, e.g.:
-//
-//	find Player where sex = "female" and handedness = "left"
-//	  and exists wonFinals
-//	scenes "net-play" via wonFinals.video
-//
-// Deprecated: use Search with Query{Source: text}, which adds pagination,
-// streaming, and explain plans. Query remains as a thin shim over Search
-// and behaves exactly as before.
-func (dl *DigitalLibrary) Query(text string) ([]Result, error) {
-	rs, err := dl.Search(context.Background(), Query{Source: text})
-	if err != nil {
-		return nil, err
-	}
-	return itemsToResults(rs.Items), nil
-}
-
-// QueryStruct runs a pre-built structured request.
-//
-// Deprecated: use Search with Query{Request: &req}. QueryStruct remains as
-// a thin shim over Search and behaves exactly as before.
-func (dl *DigitalLibrary) QueryStruct(req Request) ([]Result, error) {
-	rs, err := dl.Search(context.Background(), Query{Request: &req})
-	if err != nil {
-		return nil, err
-	}
-	return itemsToResults(rs.Items), nil
-}
-
-// QueryContext runs a structured request under a context on the concurrent
-// planner/operator path: independent retrieval operators (conceptual
-// selection, scene retrieval, text ranking) execute in parallel and merge
-// deterministically. A DigitalLibrary is safe for concurrent QueryContext
-// calls from any number of goroutines.
-//
-// Deprecated: use Search with Query{Request: &req}. QueryContext remains
-// as a thin shim over Search and behaves exactly as before.
-func (dl *DigitalLibrary) QueryContext(ctx context.Context, req Request) ([]Result, error) {
-	rs, err := dl.Search(ctx, Query{Request: &req})
-	if err != nil {
-		return nil, err
-	}
-	return itemsToResults(rs.Items), nil
-}
-
-// itemsToResults converts unified v2 items back to the v1 result shape the
-// deprecated shims return. The merge produces the same objects, scores,
-// and scene slices either way, so shim output is byte-identical to the
-// pre-redesign engines'.
-func itemsToResults(items []Item) []Result {
-	out := make([]Result, 0, len(items))
-	for _, it := range items {
-		out = append(out, Result{Object: it.Object, Score: it.Score, Scenes: it.Scenes})
-	}
-	return out
-}
-
 // Server is the long-lived query-serving layer: a sharded LRU result cache
-// over the engine plus an http.Handler exposing the v1 endpoints (/query,
-// /keyword, /scenes, /healthz) and the v2 surface (/v2/search with cursor
-// pagination and explain plans, /v2/reload for hot reindexing) as JSON. It
-// is what cmd/dlserve runs.
+// over the engine plus an http.Handler exposing /v2/search (cursor
+// pagination and explain plans), the admin endpoints (/v2/reload,
+// /v2/commit, /v2/compact), the cluster read surface (/v2/partial,
+// /v2/manifest), and /healthz, /metrics, /debug/vars as JSON. It is what
+// cmd/dlserve runs.
 type Server = serve.Server
 
 // ServerOptions tunes NewServer (cache capacity, shard count, and the
@@ -907,23 +838,6 @@ func NewServer(lib *DigitalLibrary, opts ServerOptions) *Server {
 	s := serve.New(lib.engine.Load(), opts)
 	lib.servers = append(lib.servers, s)
 	return s
-}
-
-// KeywordSearch is the flattened-pages keyword baseline.
-//
-// Deprecated: use Search with Query{Keyword: query} and WithLimit(k),
-// which adds pagination and explain plans. KeywordSearch remains as a thin
-// shim over Search and behaves exactly as before.
-func (dl *DigitalLibrary) KeywordSearch(query string, k int) ([]Hit, error) {
-	rs, err := dl.Search(context.Background(), Query{Keyword: query}, WithLimit(k))
-	if err != nil {
-		return nil, err
-	}
-	hits := make([]Hit, 0, len(rs.Items))
-	for _, it := range rs.Items {
-		hits = append(hits, Hit{Doc: it.Doc, Name: it.Page, Score: it.Score})
-	}
-	return hits, nil
 }
 
 // MotivatingQuery returns the paper's running example in query-language

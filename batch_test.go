@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/synth"
 )
 
@@ -49,17 +50,34 @@ func TestIndexBatchMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqIDs := make([]int64, len(jobs))
-	for i, job := range jobs {
-		id, err := seqLib.IndexFrames(job.Name, job.Frames, job.FPS)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seqIDs[i] = id
-	}
+	seqIDs := indexSequentially(t, seqLib, jobs)
 	var want bytes.Buffer
 	if err := seqLib.SaveIndex(&want); err != nil {
 		t.Fatal(err)
+	}
+	checkResults := func(t *testing.T, results []BatchResult, ids []int64, vids []*synth.Video) {
+		t.Helper()
+		for i, r := range results {
+			if r.Err != nil {
+				t.Fatalf("job %d: %v", i, r.Err)
+			}
+			if r.VideoID != ids[i] {
+				t.Fatalf("job %d: video ID %d, sequential got %d", i, r.VideoID, ids[i])
+			}
+			if r.Frames != len(vids[i].Frames) {
+				t.Fatalf("job %d: %d frames", i, r.Frames)
+			}
+		}
+	}
+	checkSave := func(t *testing.T, lib *Library, want []byte) {
+		t.Helper()
+		var got bytes.Buffer
+		if err := lib.SaveIndex(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("batch index differs from sequential: %d vs %d bytes", got.Len(), len(want))
+		}
 	}
 
 	for _, workers := range []int{1, 4} {
@@ -73,31 +91,82 @@ func TestIndexBatchMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, r := range results {
-				if r.Err != nil {
-					t.Fatalf("job %d: %v", i, r.Err)
-				}
-				if r.VideoID != seqIDs[i] {
-					t.Fatalf("job %d: video ID %d, sequential got %d", i, r.VideoID, seqIDs[i])
-				}
-				if r.Frames != len(vids[i].Frames) {
-					t.Fatalf("job %d: %d frames", i, r.Frames)
-				}
-			}
-			var got bytes.Buffer
-			if err := lib.SaveIndex(&got); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got.Bytes(), want.Bytes()) {
-				t.Fatalf("batch index (workers=%d) differs from sequential: %d vs %d bytes",
-					workers, got.Len(), want.Len())
-			}
+			checkResults(t, results, seqIDs, vids)
+			checkSave(t, lib, want.Bytes())
 		})
 	}
+
+	// A batch landing on a library that already holds videos: the first
+	// half is indexed sequentially, the second half batched on top.
+	half := len(jobs) / 2
+	t.Run("non-empty-head", func(t *testing.T) {
+		lib, err := NewLibrary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		indexSequentially(t, lib, jobs[:half])
+		results, err := lib.IndexBatch(context.Background(), jobs[half:], BatchOptions{Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkResults(t, results, seqIDs[half:], vids[half:])
+		checkSave(t, lib, want.Bytes())
+	})
+
+	// A Commit writes its batch into a brand-new segment: byte-identical to
+	// opening that segment and indexing the same jobs into it sequentially.
+	t.Run("commit", func(t *testing.T) {
+		lib, err := NewLibrary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		indexSequentially(t, lib, jobs[:half])
+		results, err := lib.Commit(context.Background(), jobs[half:], BatchOptions{Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkResults(t, results, seqIDs[half:], vids[half:])
+
+		ref, err := NewLibrary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		indexSequentially(t, ref, jobs[:half])
+		base := ref.head().IDState()
+		seg, err := core.NewMetaIndexAt(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.parts = append(ref.parts, seg)
+		ref.metas = append(ref.metas, core.SegmentMeta{ID: ref.nextSeg, Base: base})
+		ref.nextSeg++
+		ref.gen++
+		indexSequentially(t, ref, jobs[half:])
+		var refSave bytes.Buffer
+		if err := ref.SaveIndex(&refSave); err != nil {
+			t.Fatal(err)
+		}
+		checkSave(t, lib, refSave.Bytes())
+	})
+}
+
+// indexSequentially indexes jobs one by one with IndexFrames and returns
+// their video IDs.
+func indexSequentially(t *testing.T, lib *Library, jobs []IngestJob) []int64 {
+	t.Helper()
+	ids := make([]int64, len(jobs))
+	for i, job := range jobs {
+		id, err := lib.IndexFrames(job.Name, job.Frames, job.FPS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	return ids
 }
 
 // Cancellation stops dispatch, reports context.Canceled for jobs that never
-// ran, and still merges the jobs that completed.
+// ran, and still indexes the jobs that completed.
 func TestIndexBatchCancellation(t *testing.T) {
 	vids := batchTestCorpus(t)
 	jobs := batchJobs(vids)
@@ -141,7 +210,7 @@ func TestIndexBatchCancellation(t *testing.T) {
 	if canceled == 0 {
 		t.Fatal("no job reports context.Canceled")
 	}
-	vs, err := lib.Index().Videos()
+	vs, err := mustIndex(t, lib).Videos()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,18 +247,19 @@ func TestIndexBatchSVFAndErrors(t *testing.T) {
 	if results[0].Name != "match-0" || results[1].Name != "match-1" {
 		t.Fatalf("names from paths: %q, %q", results[0].Name, results[1].Name)
 	}
+	idx := mustIndex(t, lib)
 	for _, r := range results[:2] {
 		if r.Err != nil {
 			t.Fatalf("job %q failed: %v", r.Name, r.Err)
 		}
-		if _, err := lib.Index().VideoByName(r.Name); err != nil {
+		if _, err := idx.VideoByName(r.Name); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if results[2].Err == nil {
 		t.Fatal("missing file indexed without error")
 	}
-	if st := lib.Index().Stats(); st.Videos != 2 {
+	if st := idx.Stats(); st.Videos != 2 {
 		t.Fatalf("index holds %d videos, want 2", st.Videos)
 	}
 }

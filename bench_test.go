@@ -659,16 +659,16 @@ func newDlseForBench(site *webspace.Site, idx *core.MetaIndex) (*dlse.Engine, er
 	return dlse.New(site, idx)
 }
 
-func runMotivating(eng *dlse.Engine, site *webspace.Site) []dlse.Result {
+func runMotivating(eng *dlse.Engine, site *webspace.Site) []dlse.Item {
 	req, err := dlse.ParseRequest(site.W.Schema(), dlse.MotivatingQueryText)
 	if err != nil {
 		panic(err)
 	}
-	results, err := eng.Query(req)
+	rs, err := eng.Search(context.Background(), dlse.Query{Request: &req})
 	if err != nil {
 		panic(err)
 	}
-	return results
+	return rs.Items
 }
 
 // ------------------------------------------------- throughput benchmarks
@@ -1243,38 +1243,39 @@ func BenchmarkDLSEQuery(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
+	q := dlse.Query{Request: &req}
 
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.QueryContext(ctx, req); err != nil {
+			if _, err := eng.Search(ctx, q); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("cached", func(b *testing.B) {
 		srv := serve.New(eng, serve.Options{CacheSize: 256})
-		if _, _, err := srv.QueryRequest(ctx, req); err != nil { // warm
+		if _, _, err := srv.Search(ctx, q, "", 0, false); err != nil { // warm
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, cached, err := srv.QueryRequest(ctx, req); err != nil || !cached {
+			if _, cached, err := srv.Search(ctx, q, "", 0, false); err != nil || !cached {
 				b.Fatalf("cached=%t err=%v", cached, err)
 			}
 		}
 	})
 	b.Run("cached-parallel", func(b *testing.B) {
 		srv := serve.New(eng, serve.Options{CacheSize: 256})
-		if _, _, err := srv.QueryRequest(ctx, req); err != nil {
+		if _, _, err := srv.Search(ctx, q, "", 0, false); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
-				if _, _, err := srv.QueryRequest(ctx, req); err != nil {
+				if _, _, err := srv.Search(ctx, q, "", 0, false); err != nil {
 					b.Error(err) // Fatal must not be called off the benchmark goroutine
 					return
 				}
@@ -1294,10 +1295,11 @@ func BenchmarkDLSETextRank(b *testing.B) {
 		Limit: 10,
 	}
 	ctx := context.Background()
+	q := dlse.Query{Request: &req}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.QueryContext(ctx, req); err != nil {
+		if _, err := eng.Search(ctx, q); err != nil {
 			b.Fatal(err)
 		}
 	}

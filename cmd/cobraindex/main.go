@@ -1,8 +1,8 @@
 // Command cobraindex runs the tennis Feature Detector Engine over a corpus
 // of SVF videos, populating and persisting the COBRA meta-index. Videos are
 // processed by a worker pool: each worker decodes and parses one video at a
-// time, committing into a sharded index that is merged deterministically —
-// the output is byte-identical at any worker count.
+// time, and the parses are written into the index in input order — the
+// output is byte-identical at any worker count.
 //
 // Usage:
 //
@@ -92,8 +92,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	idx, err := core.NewMetaIndex()
+	if err != nil {
+		log.Fatal(err)
+	}
 	start := time.Now()
-	results, runErr := in.Run(ctx, jobs)
+	results, runErr := in.Run(ctx, jobs, idx)
 	if runErr != nil {
 		for _, r := range results {
 			if r.Err != nil {
@@ -104,13 +108,6 @@ func main() {
 	}
 	wall := time.Since(start)
 
-	idx, err := core.NewMetaIndex()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := in.MergeInto(idx); err != nil {
-		log.Fatal(err)
-	}
 	st := idx.Stats()
 	var busy time.Duration
 	frames := 0

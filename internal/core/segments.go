@@ -433,6 +433,89 @@ func MergeSegmentRange(parts []*MetaIndex, metas []SegmentMeta, from, to int) (*
 	return dst, SegmentMeta{ID: metas[from].ID, Base: metas[from].Base}, nil
 }
 
+// copyVideo replays one video's rows from src into dst, reassigning video,
+// segment, object and event IDs from dst's counters. Row append order
+// mirrors the materialization order of a direct sequential indexing run
+// (segments, then objects with their states, then features, then events),
+// so replaying a segment range in ID order reproduces the sequential index
+// exactly.
+func copyVideo(dst, src *MetaIndex, videoID int64) (int64, error) {
+	v, err := src.VideoByID(videoID)
+	if err != nil {
+		return 0, err
+	}
+	nvid, err := dst.AddVideo(v)
+	if err != nil {
+		return 0, err
+	}
+	segs, err := src.SegmentsOf(videoID)
+	if err != nil {
+		return 0, err
+	}
+	segMap := make(map[int64]int64, len(segs))
+	for _, sg := range segs {
+		old := sg.ID
+		sg.VideoID = nvid
+		nsid, err := dst.AddSegment(sg)
+		if err != nil {
+			return 0, err
+		}
+		segMap[old] = nsid
+	}
+	objMap := map[int64]int64{}
+	for _, sg := range segs {
+		objs, err := src.ObjectsIn(sg.ID)
+		if err != nil {
+			return 0, err
+		}
+		for _, o := range objs {
+			old := o.ID
+			o.VideoID = nvid
+			o.SegmentID = segMap[sg.ID]
+			noid, err := dst.AddObject(o)
+			if err != nil {
+				return 0, err
+			}
+			objMap[old] = noid
+			states, err := src.StatesOf(old)
+			if err != nil {
+				return 0, err
+			}
+			for _, st := range states {
+				st.ObjectID = noid
+				if err := dst.AddState(st); err != nil {
+					return 0, err
+				}
+			}
+		}
+	}
+	feats, err := src.FeaturesOf(videoID)
+	if err != nil {
+		return 0, err
+	}
+	for _, f := range feats {
+		f.VideoID = nvid
+		if err := dst.AddFeature(f); err != nil {
+			return 0, err
+		}
+	}
+	evs, err := src.EventsOf(videoID)
+	if err != nil {
+		return 0, err
+	}
+	for _, e := range evs {
+		e.VideoID = nvid
+		e.SegmentID = segMap[e.SegmentID]
+		if e.ActorID != 0 {
+			e.ActorID = objMap[e.ActorID]
+		}
+		if _, err := dst.AddEvent(e); err != nil {
+			return 0, err
+		}
+	}
+	return nvid, nil
+}
+
 // ------------------------------------------------------------ persistence
 
 // manifestTable is the table name that marks a stream as a segmented

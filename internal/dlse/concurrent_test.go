@@ -25,7 +25,7 @@ var mixedQueries = []string{
 func TestConcurrentQueriesMatchSequential(t *testing.T) {
 	e, site := fixture(t)
 	schema := site.W.Schema()
-	golden := make([][]Result, len(mixedQueries))
+	golden := make([][]Item, len(mixedQueries))
 	reqs := make([]Request, len(mixedQueries))
 	for i, q := range mixedQueries {
 		req, err := ParseRequest(schema, q)
@@ -33,7 +33,7 @@ func TestConcurrentQueriesMatchSequential(t *testing.T) {
 			t.Fatalf("query %d: %v", i, err)
 		}
 		reqs[i] = req
-		res, err := e.QueryContext(context.Background(), req)
+		res, err := searchItems(e, req)
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
@@ -52,7 +52,7 @@ func TestConcurrentQueriesMatchSequential(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				i := (g + r) % len(reqs)
-				res, err := e.QueryContext(context.Background(), reqs[i])
+				res, err := searchItems(e, reqs[i])
 				if err != nil {
 					errs <- err
 					return
@@ -61,7 +61,7 @@ func TestConcurrentQueriesMatchSequential(t *testing.T) {
 					t.Errorf("goroutine %d round %d query %d: concurrent result differs from sequential", g, r, i)
 					return
 				}
-				if _, err := e.KeywordSearch("champion final", 10); err != nil {
+				if _, err := e.Search(context.Background(), Query{Keyword: "champion final"}, WithLimit(10)); err != nil {
 					errs <- err
 					return
 				}
@@ -105,7 +105,7 @@ func TestQueryContextCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.QueryContext(ctx, req); err == nil {
+	if _, err := e.Search(ctx, Query{Request: &req}); err == nil {
 		t.Fatal("cancelled context did not abort the query")
 	}
 }

@@ -1,6 +1,7 @@
 package dlse
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -56,7 +57,7 @@ func TestMotivatingQueryEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := e.Query(req)
+	results, err := searchItems(e, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestQueryTextRanking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := e.Query(req)
+	results, err := searchItems(e, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestQueryTextRanking(t *testing.T) {
 	}
 	// Top-N optimized ranking must give the same order.
 	req.TopNFragments = 8
-	opt, err := e.Query(req)
+	opt, err := searchItems(e, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestRequireScenes(t *testing.T) {
 		VideoPath:     []string{"interviews"},
 		RequireScenes: true,
 	}
-	results, err := e.Query(req)
+	results, err := searchItems(e, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestQueryLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := e.Query(req)
+	results, err := searchItems(e, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,13 +239,22 @@ func TestParsedConstraintTypes(t *testing.T) {
 	if v, ok := req.Where[0].Val.(int64); !ok || v != 2000 {
 		t.Fatalf("year coerced to %T %v", req.Where[0].Val, req.Where[0].Val)
 	}
-	results, err := fixtureEngine(t, site).Query(req)
+	results, err := searchItems(fixtureEngine(t, site), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(results) != 4 { // 2000, 2001 × 2 categories
 		t.Fatalf("finals >= 2000: %d", len(results))
 	}
+}
+
+// searchItems answers a structured request through Search.
+func searchItems(e *Engine, req Request) ([]Item, error) {
+	rs, err := e.Search(context.Background(), Query{Request: &req})
+	if err != nil {
+		return nil, err
+	}
+	return rs.Items, nil
 }
 
 func fixtureEngine(t *testing.T, site *webspace.Site) *Engine {
@@ -267,7 +277,7 @@ func TestEngineAccessors(t *testing.T) {
 	if e.Space() == nil || e.TextIndex() == nil || e.VideoIndex() == nil {
 		t.Fatal("accessors returned nil")
 	}
-	hits, err := e.KeywordSearch("melbourne", 5)
+	hits, _, err := e.TextIndex().Search("melbourne", 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@
 package dlse
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -27,12 +26,12 @@ import (
 //
 // Concurrency: an Engine is immutable after New — the webspace graph, the
 // frozen inverted-file segments, and the doc↔object maps are only read —
-// so any number of goroutines may call Search, QueryContext, Query, and
-// the keyword searches concurrently on one shared Engine. The video
-// segment set is an immutable snapshot; its newest partition may be
-// appended to between queries (single writer, no concurrent readers), and
-// its Version feeds the serving layer's cache invalidation. Growing the
-// segment set (a commit) installs a new Engine via WithVideo.
+// so any number of goroutines may call Search concurrently on one shared
+// Engine. The video segment set is an immutable snapshot; its newest
+// partition may be appended to between queries (single writer, no
+// concurrent readers), and its Version feeds the serving layer's cache
+// invalidation. Growing the segment set (a commit) installs a new Engine
+// via WithVideo.
 type Engine struct {
 	space *webspace.Webspace
 	text  *ir.Segments
@@ -426,19 +425,6 @@ type Result struct {
 	Scenes []core.Scene
 }
 
-// Query runs a combined query: conceptual selection, video-scene joining,
-// and text ranking. It is QueryContext with a background context.
-func (e *Engine) Query(req Request) ([]Result, error) {
-	return e.QueryContext(context.Background(), req)
-}
-
-// QueryContext compiles the request into its operator plan, executes the
-// independent operators concurrently, and merges their outputs
-// deterministically — the result is identical to sequential execution.
-func (e *Engine) QueryContext(ctx context.Context, req Request) ([]Result, error) {
-	return e.execute(ctx, e.Plan(req))
-}
-
 // walkToVideos follows the role path and collects Video object names.
 func (e *Engine) walkToVideos(o *webspace.Object, path []string) []string {
 	cur := []*webspace.Object{o}
@@ -481,18 +467,12 @@ func (e *Engine) walkObjects(o *webspace.Object, path []string) []*webspace.Obje
 	return cur
 }
 
-// KeywordSearch is the baseline the paper argues against: plain ranked
-// keyword retrieval over the flattened pages, no concepts, no video
-// content. It returns the page names.
-func (e *Engine) KeywordSearch(query string, k int) ([]ir.Hit, error) {
-	hits, _, err := e.text.Search(query, k)
-	return hits, err
-}
-
-// KeywordObjectSearch maps a keyword search back to the objects whose pages
-// matched — the best a keyword engine could do on the motivating query.
+// KeywordObjectSearch is the baseline the paper argues against: plain
+// ranked keyword retrieval over the flattened pages, no concepts, no video
+// content, mapped back to the objects whose pages matched — the best a
+// keyword engine could do on the motivating query.
 func (e *Engine) KeywordObjectSearch(query string, k int) ([]int64, error) {
-	hits, err := e.KeywordSearch(query, k)
+	hits, _, err := e.text.Search(query, k)
 	if err != nil {
 		return nil, err
 	}

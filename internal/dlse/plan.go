@@ -108,13 +108,6 @@ type execState struct {
 	explain bool
 }
 
-// execute runs the plan: independent operators concurrently, then the
-// deterministic merge.
-func (e *Engine) execute(ctx context.Context, p Plan) ([]Result, error) {
-	results, _, err := e.run(ctx, p, false)
-	return results, err
-}
-
 // run executes the plan: independent operators concurrently, then the
 // deterministic merge. Single-operator plans (concept-only queries, the
 // most common shape) run inline — no goroutine to spawn, nothing to

@@ -1,10 +1,9 @@
 // Package pipeline implements the concurrent batch-ingestion subsystem: a
 // worker pool that fans per-video Feature Detector Engine parses out across
-// CPUs, committing each parse into a sharded meta-index and merging the
-// shards back deterministically. The paper's architecture separates the
-// offline indexing pipeline (FDE -> meta-index) from the online search
-// engine precisely so the former can be scaled out; this package is that
-// seam: job -> worker -> shard -> merge.
+// CPUs, then writes the parses into the meta-index in job order. The
+// paper's architecture separates the offline indexing pipeline (FDE ->
+// meta-index) from the online search engine precisely so the former can be
+// scaled out; this package is that seam: job -> worker -> ordered write.
 package pipeline
 
 import (
@@ -61,8 +60,8 @@ type Result struct {
 	Seq int
 	// Name is the document name.
 	Name string
-	// VideoID is the shard-local video ID; after MergeInto it is superseded
-	// by the merged mapping.
+	// VideoID is the video's ID in the destination index (0 if the job
+	// failed or never ran).
 	VideoID int64
 	// Frames is the number of frames parsed.
 	Frames int
@@ -86,8 +85,6 @@ type Progress struct {
 type Config struct {
 	// Workers bounds pool concurrency; < 1 selects GOMAXPROCS.
 	Workers int
-	// Shards is the meta-index shard count; < 1 selects Workers.
-	Shards int
 	// ContinueOnError keeps the batch running after a job fails; the
 	// default stops dispatching new jobs on the first failure.
 	ContinueOnError bool
@@ -96,12 +93,10 @@ type Config struct {
 	OnProgress func(Progress)
 }
 
-// Ingestor runs batches of videos through one FDE into a sharded
-// meta-index.
+// Ingestor runs batches of videos through one FDE into a meta-index.
 type Ingestor struct {
-	engine  *fde.Engine
-	cfg     Config
-	sharded *core.ShardedMetaIndex
+	engine *fde.Engine
+	cfg    Config
 
 	mu sync.Mutex // serializes OnProgress and the per-Run done counter
 }
@@ -112,26 +107,19 @@ func New(engine *fde.Engine, cfg Config) (*Ingestor, error) {
 		return nil, fmt.Errorf("pipeline: nil engine")
 	}
 	cfg.Workers = Workers(cfg.Workers)
-	if cfg.Shards < 1 {
-		cfg.Shards = cfg.Workers
-	}
-	sharded, err := core.NewShardedMetaIndex(cfg.Shards)
-	if err != nil {
-		return nil, err
-	}
-	return &Ingestor{engine: engine, cfg: cfg, sharded: sharded}, nil
+	return &Ingestor{engine: engine, cfg: cfg}, nil
 }
 
-// Index exposes the sharded meta-index accumulating committed parses.
-func (in *Ingestor) Index() *core.ShardedMetaIndex { return in.sharded }
-
-// Run ingests the batch: every job is decoded, parsed by the FDE and
-// committed to its shard, with at most Config.Workers jobs in flight. It
-// always returns one Result per job, in job order. The error is the first
-// job failure (nil with ContinueOnError unless the context was canceled);
-// on cancellation it is ctx.Err() and the results report which jobs
-// completed before the stop.
-func (in *Ingestor) Run(ctx context.Context, jobs []Job) ([]Result, error) {
+// Run ingests the batch into dst: every job is decoded and parsed by the
+// FDE with at most Config.Workers jobs in flight, then the successful
+// parses are written into dst in ascending job order — so dst ends up
+// byte-identical to indexing the same jobs sequentially. It always returns
+// one Result per job, in job order, carrying the job's video ID in dst.
+// The error is the first job failure (nil with ContinueOnError unless the
+// context was canceled); on cancellation it is ctx.Err() and the results
+// report which jobs completed, and were written, before the stop. A failed
+// write into dst is returned in place of either.
+func (in *Ingestor) Run(ctx context.Context, jobs []Job, dst *core.MetaIndex) ([]Result, error) {
 	results := make([]Result, len(jobs))
 	runCtx := ctx
 	var cancel context.CancelFunc
@@ -139,11 +127,14 @@ func (in *Ingestor) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 		runCtx, cancel = context.WithCancel(ctx)
 		defer cancel()
 	}
+	// parses[seq] holds job seq's parse until the ordered write below. A
+	// parse carries the extracted symbols, not the frames.
+	parses := make([]*fde.Result, len(jobs))
 	total := len(jobs)
 	done := 0
 	errs := ForEach(runCtx, in.cfg.Workers, len(jobs), func(jctx context.Context, seq int) error {
-		res := in.runJob(jctx, seq, jobs[seq])
-		results[seq] = res
+		res, parse := in.runJob(jctx, seq, jobs[seq])
+		results[seq], parses[seq] = res, parse
 		in.mu.Lock()
 		done++
 		if in.cfg.OnProgress != nil {
@@ -161,6 +152,16 @@ func (in *Ingestor) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 		if err != nil && results[seq].Err == nil {
 			results[seq] = Result{Seq: seq, Name: jobs[seq].Video.Name, Err: err}
 		}
+	}
+	for seq, parse := range parses {
+		if parse == nil {
+			continue
+		}
+		vid, err := fde.IndexResult(parse, dst)
+		if err != nil {
+			return results, fmt.Errorf("pipeline: indexing job %d (%s): %w", seq, results[seq].Name, err)
+		}
+		results[seq].VideoID = vid
 	}
 	if err := ctx.Err(); err != nil {
 		return results, err
@@ -186,11 +187,12 @@ func (in *Ingestor) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 	return results, nil
 }
 
-func (in *Ingestor) runJob(ctx context.Context, seq int, job Job) Result {
+// runJob decodes and parses one job; the parse is nil when the job failed.
+func (in *Ingestor) runJob(ctx context.Context, seq int, job Job) (Result, *fde.Result) {
 	res := Result{Seq: seq, Name: job.Video.Name}
 	if err := ctx.Err(); err != nil {
 		res.Err = err
-		return res
+		return res, nil
 	}
 	start := time.Now()
 	v, frames := job.Video, job.Frames
@@ -200,37 +202,21 @@ func (in *Ingestor) runJob(ctx context.Context, seq int, job Job) Result {
 		if err != nil {
 			res.Err = fmt.Errorf("pipeline: job %d (%s): %w", seq, res.Name, err)
 			res.Duration = time.Since(start)
-			return res
+			return res, nil
 		}
 		res.Name = v.Name
 	}
 	if len(frames) == 0 {
 		res.Err = fmt.Errorf("pipeline: job %d (%s): no frames", seq, res.Name)
 		res.Duration = time.Since(start)
-		return res
+		return res, nil
 	}
 	parse, err := in.engine.Process(v, frames)
-	if err != nil {
-		res.Err = fmt.Errorf("pipeline: job %d (%s): %w", seq, res.Name, err)
-		res.Duration = time.Since(start)
-		return res
-	}
-	vid, err := in.sharded.Commit(seq, func(idx *core.MetaIndex) (int64, error) {
-		return fde.IndexResult(parse, idx)
-	})
-	if err != nil {
-		res.Err = fmt.Errorf("pipeline: job %d (%s): %w", seq, res.Name, err)
-		res.Duration = time.Since(start)
-		return res
-	}
-	res.VideoID = vid
-	res.Frames = len(frames)
 	res.Duration = time.Since(start)
-	return res
-}
-
-// MergeInto replays all committed parses into dst in job order and returns
-// the job-sequence -> merged-video-ID mapping.
-func (in *Ingestor) MergeInto(dst *core.MetaIndex) (map[int]int64, error) {
-	return in.sharded.MergeInto(dst)
+	if err != nil {
+		res.Err = fmt.Errorf("pipeline: job %d (%s): %w", seq, res.Name, err)
+		return res, nil
+	}
+	res.Frames = len(frames)
+	return res, parse
 }

@@ -181,13 +181,20 @@ func TestIngestorMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := in.Run(context.Background(), jobs)
+	dst, err := core.NewMetaIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := in.Run(context.Background(), jobs, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range results {
 		if r.Err != nil {
 			t.Fatalf("job %d: %v", r.Seq, r.Err)
+		}
+		if r.VideoID != int64(r.Seq+1) {
+			t.Fatalf("job %d has video ID %d, want %d", r.Seq, r.VideoID, r.Seq+1)
 		}
 		if r.Frames != len(jobs[r.Seq].Frames) {
 			t.Fatalf("job %d parsed %d frames", r.Seq, r.Frames)
@@ -197,7 +204,7 @@ func TestIngestorMatchesSequential(t *testing.T) {
 		t.Fatalf("progress callbacks = %d, final = %+v", len(progress), progress[len(progress)-1])
 	}
 	var got bytes.Buffer
-	if err := in.Index().Serialize(&got); err != nil {
+	if err := dst.Serialize(&got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
@@ -230,7 +237,11 @@ func TestIngestorOpenAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := in.Run(context.Background(), jobs)
+	dst, err := core.NewMetaIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := in.Run(context.Background(), jobs, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,22 +251,18 @@ func TestIngestorOpenAndErrors(t *testing.T) {
 	if results[3].Err != nil || results[3].Name != "opened" {
 		t.Fatalf("lazy-open job = %+v", results[3])
 	}
-	dst, err := core.NewMetaIndex()
+	if st := dst.Stats(); st.Videos != 3 {
+		t.Fatalf("indexed %d videos, want 3 (failed job excluded)", st.Videos)
+	}
+	if results[2].VideoID != 0 {
+		t.Fatalf("failed job has video ID %d", results[2].VideoID)
+	}
+	opened, err := dst.VideoByName("opened")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, err := in.MergeInto(dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 3 {
-		t.Fatalf("merged %d videos, want 3 (failed job excluded)", len(ids))
-	}
-	if _, ok := ids[2]; ok {
-		t.Fatal("failed job present in merge mapping")
-	}
-	if _, err := dst.VideoByName("opened"); err != nil {
-		t.Fatal(err)
+	if opened.ID != results[3].VideoID || opened.ID != 3 {
+		t.Fatalf("lazy-open job video ID = %d, result says %d, want 3", opened.ID, results[3].VideoID)
 	}
 }
 

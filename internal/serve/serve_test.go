@@ -53,6 +53,16 @@ func fixture(t testing.TB) (*dlse.Engine, *core.MetaIndex) {
 	return e, idx
 }
 
+// searchItems answers q through Server.Search, one page of at most limit
+// items (limit <= 0: the whole answer).
+func searchItems(ctx context.Context, s *Server, q dlse.Query, limit int) ([]dlse.Item, bool, error) {
+	rs, cached, err := s.Search(ctx, q, "", limit, false)
+	if err != nil {
+		return nil, false, err
+	}
+	return rs.Items, cached, nil
+}
+
 const combinedQuery = `find Player where sex = "female" and handedness = "left"` +
 	` and exists wonFinals scenes "net-play" via wonFinals.video rank "champion"`
 
@@ -61,14 +71,14 @@ func TestQueryColdThenCached(t *testing.T) {
 	s := New(e, Options{})
 	ctx := context.Background()
 
-	cold, cached, err := s.Query(ctx, combinedQuery)
+	cold, cached, err := searchItems(ctx, s, dlse.Query{Source: combinedQuery}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cached {
 		t.Fatal("first query reported cached")
 	}
-	warm, cached, err := s.Query(ctx, combinedQuery)
+	warm, cached, err := searchItems(ctx, s, dlse.Query{Source: combinedQuery}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +101,11 @@ func TestCacheNeverStaleAfterIndexUpdate(t *testing.T) {
 	s := New(e, Options{})
 	ctx := context.Background()
 
-	before, _, err := s.Scenes(ctx, "net-play")
+	before, _, err := searchItems(ctx, s, dlse.Query{Scenes: "net-play"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, cached, _ := s.Scenes(ctx, "net-play"); !cached {
+	if _, cached, _ := searchItems(ctx, s, dlse.Query{Scenes: "net-play"}, 0); !cached {
 		t.Fatal("warm scenes lookup missed")
 	}
 
@@ -111,7 +121,7 @@ func TestCacheNeverStaleAfterIndexUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	after, cached, err := s.Scenes(ctx, "net-play")
+	after, cached, err := searchItems(ctx, s, dlse.Query{Scenes: "net-play"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,14 +137,14 @@ func TestInvalidateCache(t *testing.T) {
 	e, _ := fixture(t)
 	s := New(e, Options{})
 	ctx := context.Background()
-	if _, _, err := s.Query(ctx, combinedQuery); err != nil {
+	if _, _, err := searchItems(ctx, s, dlse.Query{Source: combinedQuery}, 0); err != nil {
 		t.Fatal(err)
 	}
 	s.InvalidateCache()
 	if entries, _, _ := s.CacheStats(); entries != 0 {
 		t.Fatalf("cache has %d entries after purge", entries)
 	}
-	if _, cached, _ := s.Query(ctx, combinedQuery); cached {
+	if _, cached, _ := searchItems(ctx, s, dlse.Query{Source: combinedQuery}, 0); cached {
 		t.Fatal("query served from purged cache")
 	}
 }
@@ -144,7 +154,7 @@ func TestCacheDisabled(t *testing.T) {
 	s := New(e, Options{CacheSize: -1})
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
-		if _, cached, err := s.Query(ctx, combinedQuery); err != nil || cached {
+		if _, cached, err := searchItems(ctx, s, dlse.Query{Source: combinedQuery}, 0); err != nil || cached {
 			t.Fatalf("iteration %d: cached=%t err=%v", i, cached, err)
 		}
 	}
@@ -164,19 +174,19 @@ func TestConcurrentMixedTrafficMatchesSequential(t *testing.T) {
 		`find Final scenes "rally" via video`,
 		`find Player where exists wonFinals rank "final champion" limit 4`,
 	}
-	goldenQ := make([][]dlse.Result, len(queries))
+	goldenQ := make([][]dlse.Item, len(queries))
 	for i, q := range queries {
-		res, _, err := s.Query(ctx, q)
+		res, _, err := searchItems(ctx, s, dlse.Query{Source: q}, 0)
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
 		goldenQ[i] = res
 	}
-	goldenKW, _, err := s.Keyword(ctx, "champion final", 10)
+	goldenKW, _, err := searchItems(ctx, s, dlse.Query{Keyword: "champion final"}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	goldenSc, _, err := s.Scenes(ctx, "net-play")
+	goldenSc, _, err := searchItems(ctx, s, dlse.Query{Scenes: "net-play"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +204,7 @@ func TestConcurrentMixedTrafficMatchesSequential(t *testing.T) {
 				switch (g + r) % 3 {
 				case 0:
 					i := r % len(queries)
-					res, _, err := s.Query(ctx, queries[i])
+					res, _, err := searchItems(ctx, s, dlse.Query{Source: queries[i]}, 0)
 					if err != nil {
 						t.Errorf("query: %v", err)
 						return
@@ -204,7 +214,7 @@ func TestConcurrentMixedTrafficMatchesSequential(t *testing.T) {
 						return
 					}
 				case 1:
-					hits, _, err := s.Keyword(ctx, "champion final", 10)
+					hits, _, err := searchItems(ctx, s, dlse.Query{Keyword: "champion final"}, 10)
 					if err != nil {
 						t.Errorf("keyword: %v", err)
 						return
@@ -214,7 +224,7 @@ func TestConcurrentMixedTrafficMatchesSequential(t *testing.T) {
 						return
 					}
 				default:
-					scenes, _, err := s.Scenes(ctx, "net-play")
+					scenes, _, err := searchItems(ctx, s, dlse.Query{Scenes: "net-play"}, 0)
 					if err != nil {
 						t.Errorf("scenes: %v", err)
 						return
@@ -262,45 +272,47 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatalf("healthz docs = %v", h["docs"])
 	}
 
-	q := get(t, "/query?q="+urlQuery(`find Player where handedness = "left"`), http.StatusOK)
+	const left = `find Player where handedness = "left"`
+	q := get(t, "/v2/search?q="+urlQuery(left), http.StatusOK)
 	if q["count"].(float64) <= 0 {
 		t.Fatalf("query count = %v", q["count"])
 	}
 	if q["cached"].(bool) {
 		t.Fatal("first HTTP query cached")
 	}
-	q2 := get(t, "/query?q="+urlQuery(`find Player where handedness = "left"`), http.StatusOK)
+	q2 := get(t, "/v2/search?q="+urlQuery(left), http.StatusOK)
 	if !q2["cached"].(bool) {
 		t.Fatal("second HTTP query not cached")
 	}
 
-	lim := get(t, "/query?limit=2&q="+urlQuery(`find Player where handedness = "left"`), http.StatusOK)
+	lim := get(t, "/v2/search?limit=2&q="+urlQuery(left), http.StatusOK)
 	if lim["count"].(float64) != 2 {
 		t.Fatalf("limited query count = %v", lim["count"])
 	}
 
-	kw := get(t, "/keyword?q=final&k=5", http.StatusOK)
+	kw := get(t, "/v2/search?kw=final&limit=5", http.StatusOK)
 	if kw["count"].(float64) <= 0 {
 		t.Fatalf("keyword count = %v", kw["count"])
 	}
 
-	sc := get(t, "/scenes?kind=net-play", http.StatusOK)
+	sc := get(t, "/v2/search?kind=net-play", http.StatusOK)
 	if sc["count"].(float64) <= 0 {
 		t.Fatalf("scenes count = %v", sc["count"])
 	}
 
-	get(t, "/query", http.StatusBadRequest)                   // missing q
-	get(t, "/query?q=nonsense+syntax", http.StatusBadRequest) // parse error
-	get(t, "/keyword", http.StatusBadRequest)
-	get(t, "/scenes", http.StatusBadRequest)
+	get(t, "/v2/search", http.StatusBadRequest)                   // no query form
+	get(t, "/v2/search?q=nonsense+syntax", http.StatusBadRequest) // parse error
 
-	resp, err := http.Post(ts.URL+"/query", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("POST /query: status %d", resp.StatusCode)
+	// The v1 endpoints are gone.
+	for _, path := range []string{"/query?q=" + urlQuery(left), "/keyword?q=final", "/scenes?kind=net-play"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s: status %d, want 404", path, resp.StatusCode)
+		}
 	}
 }
 

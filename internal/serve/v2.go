@@ -148,8 +148,7 @@ func writeV2Error(w http.ResponseWriter, err error) {
 // emits byte-identical errors to dlserve.
 func WriteSearchError(w http.ResponseWriter, err error) { writeV2Error(w, err) }
 
-// onlyGetV2 enforces GET with the v2 error envelope (the v1 endpoints keep
-// onlyGet's plain {error} shape).
+// onlyGetV2 enforces GET with the v2 error envelope.
 func onlyGetV2(w http.ResponseWriter, r *http.Request) bool {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
@@ -429,7 +428,7 @@ func (s *Server) handleV2Commit(w http.ResponseWriter, r *http.Request) {
 // hit/miss, active segments, swap/commit generation, current snapshot).
 // The same map in expvar JSON stays available at /debug/vars.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if !onlyGet(w, r) {
+	if !onlyGetV2(w, r) {
 		return
 	}
 	w.Header().Set("Content-Type", PromContentType)
@@ -439,7 +438,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // handleVars answers GET /debug/vars with the server's expvar map as JSON
 // — the pre-Prometheus /metrics payload, kept for scripts and debuggers.
 func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
-	if !onlyGet(w, r) {
+	if !onlyGetV2(w, r) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

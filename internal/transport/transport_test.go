@@ -142,7 +142,7 @@ func TestPartialMergeEqualsMonolithic(t *testing.T) {
 	ctx := context.Background()
 	const kw = "australian open final"
 
-	full, err := e.KeywordSearch(kw, 0)
+	full, _, err := e.TextIndex().Search(kw, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# serve_smoke.sh — build dlserve, start it on a random port, hit /healthz,
-# /query (v1), and the v2 surface (/v2/search pagination, explain, SIGHUP
-# hot reload, POST /v2/reload), then shut it down gracefully (SIGINT) and
-# check it exits 0. Run via `make serve-smoke`; CI runs it alongside the
-# race job.
+# serve_smoke.sh — build dlserve, start it on a random port, hit /healthz
+# and /v2/search (a combined query, pagination, explain, SIGHUP hot reload,
+# POST /v2/reload), check the removed v1 /query route answers 404, then
+# shut it down gracefully (SIGINT) and check it exits 0. Run via
+# `make serve-smoke`; CI runs it alongside the race job.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,12 +40,17 @@ health=$(curl -fsS "http://127.0.0.1:$port/healthz")
 echo "$health"
 echo "$health" | grep -q '"status":"ok"'
 
-echo "--- /query"
-out=$(curl -fsS --get "http://127.0.0.1:$port/query" \
+echo "--- /v2/search (combined query)"
+out=$(curl -fsS --get "http://127.0.0.1:$port/v2/search" \
     --data-urlencode 'q=find Player where sex = "female" and handedness = "left"')
 echo "$out" | head -c 300
 echo
 echo "$out" | grep -q '"count":'
+
+echo "--- /query (v1, removed) must answer 404"
+code=$(curl -s -o /dev/null -w '%{http_code}' --get "http://127.0.0.1:$port/query" \
+    --data-urlencode 'q=find Player where sex = "female" and handedness = "left"')
+[ "$code" = 404 ] || { echo "serve-smoke: GET /query got $code, want 404" >&2; exit 1; }
 
 echo "--- /v2/search (page 1)"
 page1=$(curl -fsS --get "http://127.0.0.1:$port/v2/search" \

@@ -15,6 +15,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"repro/internal/segfile"
 )
 
 // segfileVariants persists lib in every format/loader combination and
@@ -168,15 +170,48 @@ func TestSegfileCompactionReplay(t *testing.T) {
 			}
 		}
 		var got, want bytes.Buffer
-		if err := loaded.Index().Serialize(&got); err != nil {
+		if err := mustIndex(t, loaded).Serialize(&got); err != nil {
 			t.Fatal(err)
 		}
-		if err := mono.Index().Serialize(&want); err != nil {
+		if err := mustIndex(t, mono).Serialize(&want); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("%s: compacted segment not byte-identical to monolithic", name)
 		}
+	}
+}
+
+// TestLibraryIndexCorruptSegfile: a segfile whose segment block is damaged
+// still opens (the manifest is intact), and Index, which hydrates every
+// segment, reports the damage as an error rather than panicking.
+func TestLibraryIndexCorruptSegfile(t *testing.T) {
+	site := v2Site(t)
+	var buf bytes.Buffer
+	if err := v2Library(t, site, 0).SaveIndex(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	r, err := segfile.NewReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk, ok := r.Block("core/seg/0")
+	if !ok || len(blk) == 0 {
+		t.Fatal("no segment block")
+	}
+	blk[len(blk)/2] ^= 0xFF // blk aliases data
+	path := filepath.Join(t.TempDir(), "corrupt.segf")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	lib, err := LoadLibraryFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lib.Close()
+	if idx, err := lib.Index(); err == nil {
+		t.Fatalf("corrupt segment hydrated without error (%d videos)", idx.Stats().Videos)
 	}
 }
 

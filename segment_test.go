@@ -201,10 +201,10 @@ func TestCompactionPreservesAnswers(t *testing.T) {
 	}
 	// The compacted single segment is byte-identical to the monolithic one.
 	var got, want bytes.Buffer
-	if err := lib.Index().Serialize(&got); err != nil {
+	if err := mustIndex(t, lib).Serialize(&got); err != nil {
 		t.Fatal(err)
 	}
-	if err := mono.Index().Serialize(&want); err != nil {
+	if err := mustIndex(t, mono).Serialize(&want); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
@@ -411,4 +411,14 @@ func TestSegmentedExplain(t *testing.T) {
 	if items != videoOp.Items {
 		t.Fatalf("segment items sum %d != operator items %d", items, videoOp.Items)
 	}
+}
+
+// mustIndex returns the library's newest meta-index segment.
+func mustIndex(t *testing.T, lib *Library) *MetaIndex {
+	t.Helper()
+	idx, err := lib.Index()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return idx
 }
